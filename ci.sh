@@ -163,6 +163,28 @@ cmp "$SMOKE_DIR/sharded1.json" "$SMOKE_DIR/sharded4.json" \
   || { echo "sharded: 4-shard report differs from 1-shard reference"; exit 1; }
 echo "sharded: 1-shard and 4-shard merged reports byte-identical"
 
+echo "=== cross-engine differential (fig5_example: DG_NO_SKIP=1 vs event engine) ==="
+# A shipped harness under the naive per-cycle loop and under the
+# event-driven engine must write byte-identical metrics — interference
+# matrix and per-bank tFAW stall counters included — once the "engine"
+# block, which describes how simulated time was covered, is deleted from
+# both. Run from the scratch dir so results/ is left alone.
+FIG5="$PWD/target/release/fig5_example"
+(cd "$SMOKE_DIR" && "$FIG5" --metrics fig5_fast.json > /dev/null)
+(cd "$SMOKE_DIR" && DG_NO_SKIP=1 "$FIG5" --metrics fig5_naive.json > /dev/null)
+strip_engine() {
+  awk '/^  "engine": \{/ {skip=1} !skip {print} skip && /^  \}/ {skip=0}' "$1"
+}
+strip_engine "$SMOKE_DIR/fig5_fast.json" > "$SMOKE_DIR/fig5_fast.norm"
+strip_engine "$SMOKE_DIR/fig5_naive.json" > "$SMOKE_DIR/fig5_naive.norm"
+grep -q '"interference": {' "$SMOKE_DIR/fig5_fast.norm" \
+  || { echo "engines: fig5 metrics carry no interference block"; exit 1; }
+! grep -q '"engine"' "$SMOKE_DIR/fig5_fast.norm" \
+  || { echo "engines: engine block not stripped"; exit 1; }
+cmp "$SMOKE_DIR/fig5_fast.norm" "$SMOKE_DIR/fig5_naive.norm" \
+  || { echo "engines: fig5 metrics differ between the naive and event engines"; exit 1; }
+echo "engines: fig5 metrics byte-identical across engines (engine block deleted)"
+
 echo "=== perf smoke (event-driven engine vs naive loop) ==="
 # The event-driven engine must hold a real wall-clock win on the idle-heavy
 # temporal-partition scenario. The differential test suite already proves

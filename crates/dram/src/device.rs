@@ -18,7 +18,7 @@ enum LastCol {
 }
 
 /// The device-level constraint that currently blocks a command, as reported
-/// by [`DramDevice::blocking_reason`]. Deliberately device-local (no
+/// by [`DramDevice::binding_horizon`]. Deliberately device-local (no
 /// domains, no observability types) so higher layers can map it onto their
 /// own attribution categories.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,109 +133,63 @@ impl DramDevice {
     ///
     /// The result is aligned to a DRAM command-bus edge.
     pub fn earliest(&self, cmd: DramCommand, now: Cycle) -> Cycle {
-        let mut t = now.max(self.next_cmd).max(self.refresh_until);
-        match cmd {
-            DramCommand::Activate { bank, .. } => {
-                t = t
-                    .max(self.banks[bank as usize].earliest_activate())
-                    .max(self.next_act_any)
-                    .max(self.faw_horizon());
-            }
-            DramCommand::Read { bank, .. } => {
-                t = t
-                    .max(self.banks[bank as usize].earliest_column())
-                    .max(self.next_col_any)
-                    .max(self.read_turnaround());
-            }
-            DramCommand::Write { bank, .. } => {
-                t = t
-                    .max(self.banks[bank as usize].earliest_column())
-                    .max(self.next_col_any)
-                    .max(self.write_turnaround());
-            }
-            DramCommand::Precharge { bank } => {
-                t = t.max(self.banks[bank as usize].earliest_precharge());
-            }
-            DramCommand::Refresh => {
-                let all_pre = self
-                    .banks
-                    .iter()
-                    .map(|b| b.earliest_activate())
-                    .max()
-                    .unwrap_or(0);
-                // REF may issue once every bank could accept an ACT, i.e. all
-                // precharges have completed.
-                t = t.max(all_pre);
-            }
-        }
-        t.next_multiple_of(self.timing.cmd_cycle)
+        now.max(self.binding_horizon(cmd).0)
+            .next_multiple_of(self.timing.cmd_cycle)
     }
 
-    /// The binding constraint preventing `cmd` from issuing at `now`, or
-    /// `None` when it may issue now. Ties are resolved toward the more
-    /// specific reason (bank and window constraints before generic bus
-    /// occupancy). Pure observation: never mutates device state, so
-    /// attribution layers can call it freely without perturbing timing.
-    pub fn blocking_reason(&self, cmd: DramCommand, now: Cycle) -> Option<BlockReason> {
-        if self.earliest(cmd, now) <= now {
-            return None;
+    /// The latest device horizon holding `cmd` back, and the constraint
+    /// that set it: `cmd` is blocked at bus edge `e` exactly when the
+    /// horizon is `> e`, and then the reason names the binding constraint.
+    /// Ties resolve toward the more specific reason: refresh first (it also
+    /// pushes the bank horizons), then the command's own bank and window
+    /// constraints, then generic command-bus occupancy. Horizons change
+    /// only when a command issues, so callers can charge a whole span of
+    /// edges from one answer. Pure observation: never mutates device state.
+    pub fn binding_horizon(&self, cmd: DramCommand) -> (Cycle, BlockReason) {
+        // `>` keeps the earlier-bound reason on ties.
+        fn bind(best: &mut (Cycle, BlockReason), t: Cycle, reason: BlockReason) {
+            if t > best.0 {
+                *best = (t, reason);
+            }
         }
-        // Priority order for ties: refresh first (it also pushes bank
-        // horizons, and "refresh" is the more informative answer), then the
-        // command-specific constraints, then generic command-bus occupancy.
-        let mut cands: Vec<(Cycle, BlockReason)> = vec![(self.refresh_until, BlockReason::Refresh)];
+        let mut best = (self.refresh_until, BlockReason::Refresh);
         match cmd {
             DramCommand::Activate { bank, .. } => {
-                cands.push((
-                    self.banks[bank as usize].earliest_activate(),
-                    BlockReason::Bank,
-                ));
-                cands.push((self.next_act_any, BlockReason::Rrd));
-                cands.push((self.faw_horizon(), BlockReason::Faw));
+                let b = &self.banks[bank as usize];
+                bind(&mut best, b.earliest_activate(), BlockReason::Bank);
+                bind(&mut best, self.next_act_any, BlockReason::Rrd);
+                bind(&mut best, self.faw_horizon(), BlockReason::Faw);
             }
             DramCommand::Read { bank, .. } => {
-                cands.push((
-                    self.banks[bank as usize].earliest_column(),
-                    BlockReason::Bank,
-                ));
-                cands.push((self.next_col_any, BlockReason::Bus));
-                cands.push((self.read_turnaround(), BlockReason::Bus));
+                let b = &self.banks[bank as usize];
+                bind(&mut best, b.earliest_column(), BlockReason::Bank);
+                bind(&mut best, self.next_col_any, BlockReason::Bus);
+                bind(&mut best, self.read_turnaround(), BlockReason::Bus);
             }
             DramCommand::Write { bank, .. } => {
-                cands.push((
-                    self.banks[bank as usize].earliest_column(),
-                    BlockReason::Bank,
-                ));
-                cands.push((self.next_col_any, BlockReason::Bus));
-                cands.push((self.write_turnaround(), BlockReason::Bus));
+                let b = &self.banks[bank as usize];
+                bind(&mut best, b.earliest_column(), BlockReason::Bank);
+                bind(&mut best, self.next_col_any, BlockReason::Bus);
+                bind(&mut best, self.write_turnaround(), BlockReason::Bus);
             }
             DramCommand::Precharge { bank } => {
-                cands.push((
-                    self.banks[bank as usize].earliest_precharge(),
-                    BlockReason::Bank,
-                ));
+                let b = &self.banks[bank as usize];
+                bind(&mut best, b.earliest_precharge(), BlockReason::Bank);
             }
             DramCommand::Refresh => {
+                // REF may issue once every bank could accept an ACT, i.e.
+                // all precharges have completed.
                 let all_pre = self
                     .banks
                     .iter()
                     .map(|b| b.earliest_activate())
                     .max()
                     .unwrap_or(0);
-                cands.push((all_pre, BlockReason::Bank));
+                bind(&mut best, all_pre, BlockReason::Bank);
             }
         }
-        cands.push((self.next_cmd, BlockReason::CmdBus));
-        // Pick the latest horizon; `>` keeps the earliest-listed entry on
-        // ties, so refresh beats the bank horizons it also pushed and the
-        // specific reasons beat generic command-bus occupancy.
-        let mut best = cands[0];
-        for &(t, r) in &cands[1..] {
-            if t > best.0 {
-                best = (t, r);
-            }
-        }
-        Some(best.1)
+        bind(&mut best, self.next_cmd, BlockReason::CmdBus);
+        best
     }
 
     /// Earliest ACT as constrained by the four-activate window.
@@ -528,24 +482,35 @@ mod tests {
         d.issue(rd(0), 0); // before tRCD
     }
 
+    /// The reason `cmd` is held at bus edge `e`, or `None` when it may
+    /// issue there.
+    fn blocked_by(d: &DramDevice, cmd: DramCommand, e: Cycle) -> Option<BlockReason> {
+        let (horizon, reason) = d.binding_horizon(cmd);
+        (horizon > e).then_some(reason)
+    }
+
     #[test]
-    fn blocking_reason_names_the_binding_constraint() {
+    fn binding_horizon_names_the_binding_constraint() {
         let mut d = device();
-        assert_eq!(d.blocking_reason(act(0, 1), 0), None);
+        assert_eq!(blocked_by(&d, act(0, 1), 0), None);
         d.issue(act(0, 1), 0);
         // RD right after ACT waits on the bank's tRCD.
-        assert_eq!(d.blocking_reason(rd(0), 1), Some(BlockReason::Bank));
+        assert_eq!(
+            d.binding_horizon(rd(0)),
+            (d.timing().tRCD, BlockReason::Bank)
+        );
+        assert_eq!(blocked_by(&d, rd(0), 1), Some(BlockReason::Bank));
         // ACT to another bank waits on tRRD.
-        assert_eq!(d.blocking_reason(act(1, 1), 1), Some(BlockReason::Rrd));
+        assert_eq!(blocked_by(&d, act(1, 1), 1), Some(BlockReason::Rrd));
         // Write→read turnaround holds a read on another (ready) bank.
         d.issue(act(1, 1), d.earliest(act(1, 1), 1));
         let t_wr = d.earliest(wr(0), 0);
         let wr_end = d.issue(wr(0), t_wr).unwrap();
-        assert_eq!(d.blocking_reason(rd(1), wr_end), Some(BlockReason::Bus));
+        assert_eq!(blocked_by(&d, rd(1), wr_end), Some(BlockReason::Bus));
     }
 
     #[test]
-    fn blocking_reason_reports_faw_and_refresh() {
+    fn binding_horizon_reports_faw_and_refresh() {
         let mut d = device();
         let mut at = 0;
         for b in 0..4 {
@@ -554,14 +519,75 @@ mod tests {
         }
         // The fifth ACT is held by the four-activate window (tFAW is the
         // latest horizon: it spans from the *first* ACT, well past tRRD).
-        assert_eq!(d.blocking_reason(act(4, 0), at + 1), Some(BlockReason::Faw));
+        assert_eq!(blocked_by(&d, act(4, 0), at + 1), Some(BlockReason::Faw));
+        assert_eq!(d.binding_horizon(act(4, 0)).0, d.timing().tFAW);
 
         let mut d = device();
         let due = d.earliest(DramCommand::Refresh, d.timing().tREFI);
         d.issue(DramCommand::Refresh, due);
+        // REF pushes every bank's ACT horizon to the same cycle it ends:
+        // the tie resolves to the more informative Refresh.
+        let done = due + d.timing().tRFC;
+        assert_eq!(d.bank(0).earliest_activate(), done);
+        assert_eq!(d.binding_horizon(act(0, 1)), (done, BlockReason::Refresh));
         assert_eq!(
-            d.blocking_reason(act(0, 1), due + 1),
+            blocked_by(&d, act(0, 1), due + 1),
             Some(BlockReason::Refresh)
         );
+        assert_eq!(blocked_by(&d, act(0, 1), done), None);
+    }
+
+    #[test]
+    fn binding_horizon_agrees_with_earliest_at_every_edge() {
+        // Blocked at edge `e` (earliest > e) ⇔ horizon > e, including the
+        // all-zero tie of a fresh device, the refresh/bank tie, and the
+        // boundary edge where the horizon is reached.
+        let mut d = DramDevice::new(
+            DramOrg::default(),
+            DramTiming::default(),
+            ClockRatio::new(3),
+        );
+        let cc = d.timing().cmd_cycle;
+        let cmds = |row| {
+            let mut v = vec![DramCommand::Refresh];
+            for b in 0..4 {
+                v.extend([act(b, row), rd(b), rda(b), wr(b)]);
+                v.push(DramCommand::Precharge { bank: b });
+            }
+            v
+        };
+        let check = |d: &DramDevice, from: Cycle| {
+            for cmd in cmds(7) {
+                for e in (from..from + 200 * cc).step_by(cc as usize) {
+                    let (horizon, _) = d.binding_horizon(cmd);
+                    assert_eq!(
+                        d.earliest(cmd, e) > e,
+                        horizon > e,
+                        "{cmd} at edge {e}: horizon {horizon}"
+                    );
+                }
+            }
+        };
+        check(&d, 0);
+        let mut at = 0;
+        for b in 0..4 {
+            at = d.earliest(act(b, 7), at);
+            d.issue(act(b, 7), at);
+            check(&d, at);
+        }
+        at = d.earliest(wr(1), at);
+        d.issue(wr(1), at);
+        check(&d, at);
+        at = d.earliest(rd(2), at);
+        d.issue(rd(2), at);
+        check(&d, at);
+        for b in 0..4 {
+            let pre = DramCommand::Precharge { bank: b };
+            at = d.earliest(pre, at);
+            d.issue(pre, at);
+        }
+        at = d.earliest(DramCommand::Refresh, at.max(d.refresh_deadline()));
+        d.issue(DramCommand::Refresh, at);
+        check(&d, at);
     }
 }

@@ -39,12 +39,43 @@ struct Txn {
     state: TxnState,
 }
 
+impl Txn {
+    fn column_cmd(&self, auto_precharge: bool) -> DramCommand {
+        if self.req.req_type.is_write() {
+            DramCommand::Write {
+                bank: self.loc.bank,
+                auto_precharge,
+            }
+        } else {
+            DramCommand::Read {
+                bank: self.loc.bank,
+                auto_precharge,
+            }
+        }
+    }
+
+    /// The next command this transaction needs from `device`: its column
+    /// access on a row hit, else PRE on a conflict, else ACT.
+    fn needed_cmd(&self, device: &DramDevice, auto_precharge: bool) -> DramCommand {
+        match device.bank(self.loc.bank).open_row() {
+            Some(row) if row == self.loc.row => self.column_cmd(auto_precharge),
+            Some(_) => DramCommand::Precharge {
+                bank: self.loc.bank,
+            },
+            None => DramCommand::Activate {
+                bank: self.loc.bank,
+                row: self.loc.row,
+            },
+        }
+    }
+}
+
 /// Who last touched each shared DRAM resource, so a blocked command's wait
 /// can be charged to the domain that made the resource busy.
 ///
 /// Purely observational: updated only when the scheduler issues a command
-/// anyway, and read by [`MemoryController::attribute_stalls`]. It never
-/// feeds back into scheduling decisions, so attribution cannot perturb the
+/// anyway, and read by [`MemoryController::charge_until`]. It never feeds
+/// back into scheduling decisions, so attribution cannot perturb the
 /// simulation (the observer-effect contract of `dg_obs::leak`).
 #[derive(Debug)]
 struct LeakTrack {
@@ -61,6 +92,11 @@ struct LeakTrack {
     /// Set when a command issued on the current bus edge: the arbitration
     /// winner other pending transactions lost to. `None` between edges.
     issued_this_edge: Option<Option<DomainId>>,
+    /// Every command-bus edge before this cycle has been charged.
+    charged_until: Cycle,
+    /// Scratch for [`MemoryController::charge_until`]: the domain of each
+    /// bank's oldest pending transaction.
+    bank_head: Vec<Option<DomainId>>,
 }
 
 impl LeakTrack {
@@ -72,6 +108,8 @@ impl LeakTrack {
             cmd_user: None,
             act_users: VecDeque::with_capacity(4),
             issued_this_edge: None,
+            charged_until: 0,
+            bank_head: vec![None; banks],
         }
     }
 }
@@ -204,11 +242,6 @@ impl MemoryController {
         }
     }
 
-    /// The interference matrix accumulated so far.
-    pub fn interference_report(&self) -> InterferenceReport {
-        self.leak.matrix.report()
-    }
-
     /// The address mapper in use (attackers and shapers need it to target
     /// specific banks).
     pub fn mapper(&self) -> &AddressMapper {
@@ -281,24 +314,9 @@ impl MemoryController {
         true
     }
 
-    fn column_cmd(&self, txn: &Txn) -> DramCommand {
-        let auto_precharge = self.auto_precharge();
-        if txn.req.req_type.is_write() {
-            DramCommand::Write {
-                bank: txn.loc.bank,
-                auto_precharge,
-            }
-        } else {
-            DramCommand::Read {
-                bank: txn.loc.bank,
-                auto_precharge,
-            }
-        }
-    }
-
     fn issue_column(&mut self, idx: usize, now: Cycle) {
-        let cmd = self.column_cmd(&self.txq[idx]);
         let txn = &self.txq[idx];
+        let cmd = txn.column_cmd(self.auto_precharge());
         let (bank, arrived, domain) = (txn.loc.bank as usize, txn.arrived, txn.req.domain);
         // A row hit means the row was already open when this transaction
         // arrived; otherwise the transaction paid for (at least) its own
@@ -325,32 +343,15 @@ impl MemoryController {
         else {
             return;
         };
-        let loc = self.txq[idx].loc;
-        let domain = self.txq[idx].req.domain;
-        match self.device.bank(loc.bank).open_row() {
-            Some(row) if row == loc.row => {
-                let cmd = self.column_cmd(&self.txq[idx]);
-                if self.device.earliest(cmd, now) == now {
-                    self.issue_column(idx, now);
-                }
-            }
-            Some(_) => {
-                let cmd = DramCommand::Precharge { bank: loc.bank };
-                if self.device.earliest(cmd, now) == now {
-                    self.device.issue(cmd, now);
-                    self.note_cmd(cmd, now, Some(domain));
-                }
-            }
-            None => {
-                let cmd = DramCommand::Activate {
-                    bank: loc.bank,
-                    row: loc.row,
-                };
-                if self.device.earliest(cmd, now) == now {
-                    self.device.issue(cmd, now);
-                    self.note_cmd(cmd, now, Some(domain));
-                }
-            }
+        let cmd = self.txq[idx].needed_cmd(&self.device, self.auto_precharge());
+        if self.device.earliest(cmd, now) != now {
+            return;
+        }
+        if cmd.is_column() {
+            self.issue_column(idx, now);
+        } else {
+            self.device.issue(cmd, now);
+            self.note_cmd(cmd, now, Some(self.txq[idx].req.domain));
         }
     }
 
@@ -359,7 +360,10 @@ impl MemoryController {
         let hit = self.txq.iter().position(|t| {
             matches!(t.state, TxnState::Pending)
                 && self.device.bank(t.loc.bank).open_row() == Some(t.loc.row)
-                && self.device.earliest(self.column_cmd(t), now) == now
+                && self
+                    .device
+                    .earliest(t.column_cmd(self.auto_precharge()), now)
+                    == now
         });
         if let Some(idx) = hit {
             self.issue_column(idx, now);
@@ -422,15 +426,54 @@ impl MemoryController {
         }
     }
 
-    /// Charges this command-bus edge's wait time for every pending
-    /// transaction to the domain whose earlier command made the blocking
-    /// resource busy. Runs after [`MemoryController::schedule`] on each bus
-    /// edge; purely observational (reads device horizons, never issues).
-    fn attribute_stalls(&mut self, now: Cycle) {
+    /// Charges the stall of every pending transaction on the command-bus
+    /// edges in `[charged_until, to)` to the domain whose earlier command
+    /// made the blocking resource busy, then advances `charged_until`.
+    ///
+    /// Callers run it before anything that changes what it reads — an
+    /// issue, an enqueue, a `refresh_pending` flip — so the queue, the
+    /// device horizons and the ownership trail are fixed across the span
+    /// and each transaction's charge is closed-form. A transaction behind
+    /// an older same-bank one waits on that owner (QueueWait) on every
+    /// edge. A bank head is held by its binding reason on the edges below its
+    /// latest device horizon; on the edges after it the command was legal
+    /// but not picked, so it lost arbitration to `winner` (the command
+    /// issued on this edge, when the span is that one edge), was held back
+    /// by a pending refresh drain, or did not wait at all. Purely
+    /// observational: reads horizons, never issues.
+    fn charge_until(&mut self, to: Cycle, winner: Option<Option<DomainId>>) {
+        let from = self.leak.charged_until;
+        if to <= from {
+            return;
+        }
+        self.leak.charged_until = to;
         let cmd_cycle = self.device.timing().cmd_cycle;
-        let mut bank_head: Vec<Option<DomainId>> = vec![None; self.device.bank_count() as usize];
-        let mut charges: Vec<(u16, Option<u16>, StallCause)> = Vec::new();
-        for txn in &self.txq {
+        let edges_before = |t: Cycle| t.div_ceil(cmd_cycle);
+        let span = edges_before(to) - edges_before(from);
+        if span == 0 {
+            return;
+        }
+        let auto_precharge = self.auto_precharge();
+        let Self {
+            txq,
+            device,
+            stats,
+            refresh_pending,
+            leak,
+            ..
+        } = self;
+        let LeakTrack {
+            matrix,
+            bank_user,
+            col_user,
+            cmd_user,
+            act_users,
+            bank_head,
+            ..
+        } = leak;
+        let as_u16 = |d: Option<DomainId>| d.map(|d| d.0);
+        bank_head.fill(None);
+        for txn in txq.iter() {
             if !matches!(txn.state, TxnState::Pending) {
                 continue;
             }
@@ -439,58 +482,53 @@ impl MemoryController {
             // FCFS within a bank: a transaction behind an older same-bank
             // transaction waits on that owner, whatever the device says.
             if let Some(owner) = bank_head[b] {
-                charges.push((victim, Some(owner.0), StallCause::QueueWait));
+                matrix.charge(
+                    victim,
+                    Some(owner.0),
+                    StallCause::QueueWait,
+                    span * cmd_cycle,
+                );
                 continue;
             }
             bank_head[b] = Some(txn.req.domain);
-            // This transaction heads its bank: what command does it need,
-            // and which device horizon holds that command back?
-            let cmd = match self.device.bank(txn.loc.bank).open_row() {
-                Some(row) if row == txn.loc.row => self.column_cmd(txn),
-                Some(_) => DramCommand::Precharge { bank: txn.loc.bank },
-                None => DramCommand::Activate {
-                    bank: txn.loc.bank,
-                    row: txn.loc.row,
-                },
-            };
-            let as_u16 = |d: Option<DomainId>| d.map(|d| d.0);
-            match self.device.blocking_reason(cmd, now) {
-                Some(BlockReason::Bank) => {
-                    charges.push((victim, as_u16(self.leak.bank_user[b]), StallCause::BankBusy));
-                }
-                Some(BlockReason::Rrd) => {
-                    let culprit = self.leak.act_users.back().copied().flatten();
-                    charges.push((victim, culprit.map(|d| d.0), StallCause::ActWindow));
-                }
-                Some(BlockReason::Faw) => {
-                    // tFAW binds to the oldest ACT in the window.
-                    let culprit = self.leak.act_users.front().copied().flatten();
-                    charges.push((victim, culprit.map(|d| d.0), StallCause::ActWindow));
-                    self.stats.banks[b].faw_stall_cycles += cmd_cycle;
-                }
-                Some(BlockReason::Bus) => {
-                    charges.push((victim, as_u16(self.leak.col_user), StallCause::BusConflict));
-                }
-                Some(BlockReason::CmdBus) => {
-                    charges.push((victim, as_u16(self.leak.cmd_user), StallCause::BusConflict));
-                }
-                Some(BlockReason::Refresh) => {
-                    charges.push((victim, None, StallCause::Refresh));
-                }
-                None => {
-                    // Legal this edge but not picked: lost arbitration to
-                    // whichever command did issue, or held back by the
-                    // refresh drain.
-                    if let Some(winner) = self.leak.issued_this_edge {
-                        charges.push((victim, as_u16(winner), StallCause::BusConflict));
-                    } else if self.refresh_pending {
-                        charges.push((victim, None, StallCause::Refresh));
+            // This transaction heads its bank: which device horizon holds
+            // its next command back, and until when?
+            let (horizon, reason) = device.binding_horizon(txn.needed_cmd(device, auto_precharge));
+            let blocked = edges_before(horizon.clamp(from, to)) - edges_before(from);
+            if blocked > 0 {
+                let (culprit, cause) = match reason {
+                    BlockReason::Bank => (as_u16(bank_user[b]), StallCause::BankBusy),
+                    BlockReason::Rrd => (
+                        as_u16(act_users.back().copied().flatten()),
+                        StallCause::ActWindow,
+                    ),
+                    BlockReason::Faw => {
+                        stats.banks[b].faw_stall_cycles += blocked * cmd_cycle;
+                        // tFAW binds to the oldest ACT in the window.
+                        (
+                            as_u16(act_users.front().copied().flatten()),
+                            StallCause::ActWindow,
+                        )
                     }
+                    BlockReason::Bus => (as_u16(*col_user), StallCause::BusConflict),
+                    BlockReason::CmdBus => (as_u16(*cmd_user), StallCause::BusConflict),
+                    BlockReason::Refresh => (None, StallCause::Refresh),
+                };
+                matrix.charge(victim, culprit, cause, blocked * cmd_cycle);
+            }
+            let legal = span - blocked;
+            if legal > 0 {
+                if let Some(winner) = winner {
+                    matrix.charge(
+                        victim,
+                        as_u16(winner),
+                        StallCause::BusConflict,
+                        legal * cmd_cycle,
+                    );
+                } else if *refresh_pending {
+                    matrix.charge(victim, None, StallCause::Refresh, legal * cmd_cycle);
                 }
             }
-        }
-        for (victim, culprit, cause) in charges {
-            self.leak.matrix.charge(victim, culprit, cause, cmd_cycle);
         }
     }
 
@@ -533,6 +571,8 @@ impl MemorySubsystem for MemoryController {
         if self.txq.len() >= self.capacity {
             return Err(req);
         }
+        // The edges before `now` saw the queue without this transaction.
+        self.charge_until(now, None);
         let loc = self.mapper.decode(req.addr);
         self.tracer.record(now, || EventKind::TxqEnqueue {
             id: req.id,
@@ -554,33 +594,40 @@ impl MemorySubsystem for MemoryController {
     fn tick_into(&mut self, now: Cycle, out: &mut Vec<MemResponse>) {
         let _prof = dg_prof::span("controller");
         self.collect_into(now, out);
-        if now.is_multiple_of(self.device.timing().cmd_cycle) {
+        // Edges skipped since the last visit issued nothing and saw the
+        // state the last visit or enqueue left behind.
+        self.charge_until(now, None);
+        let cmd_cycle = self.device.timing().cmd_cycle;
+        if now.is_multiple_of(cmd_cycle) {
             let _prof = dg_prof::span("dram_device");
             self.leak.issued_this_edge = None;
             self.schedule(now);
-            self.attribute_stalls(now);
+            self.charge_until(now + cmd_cycle, self.leak.issued_this_edge);
         }
     }
 
     fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
         let cmd_cycle = self.device.timing().cmd_cycle;
-        let edge = now.next_multiple_of(cmd_cycle);
+        let auto_precharge = self.auto_precharge();
         let mut ev: Option<Cycle> = None;
-        let mut pending = false;
         for txn in &self.txq {
-            match txn.state {
+            let at = match txn.state {
                 // Completions are collected the cycle `done` is reached.
-                TxnState::Issued { done } => {
-                    ev = dg_sim::clock::earliest_event(ev, Some(done.max(now)));
-                }
-                TxnState::Pending => pending = true,
-            }
+                TxnState::Issued { done } => done.max(now),
+                // Every command the scheduler can issue is the next command
+                // of some pending transaction, so the first edge any of them
+                // is legal bounds the next issue. Skipped edges are charged
+                // in closed form on the next visit or enqueue.
+                TxnState::Pending => self
+                    .device
+                    .earliest(txn.needed_cmd(&self.device, auto_precharge), now),
+            };
+            ev = dg_sim::clock::earliest_event(ev, Some(at));
         }
-        // While any transaction is pending (or a refresh drain is under
-        // way), every command-bus edge matters: the scheduler may issue and
-        // attribute_stalls charges the interference matrix per edge.
-        if pending || self.refresh_pending {
-            ev = dg_sim::clock::earliest_event(ev, Some(edge));
+        // A refresh drain may precharge any open bank, so it wakes on every
+        // edge until the REF issues.
+        if self.refresh_pending {
+            ev = dg_sim::clock::earliest_event(ev, Some(now.next_multiple_of(cmd_cycle)));
         }
         // Refresh maintenance wakes the controller even when fully idle:
         // the first edge at or after the deadline flips `refresh_pending`.
@@ -922,6 +969,53 @@ mod tests {
             mc.tick(now);
         }
         assert_eq!(mc.interference().unwrap().total_stall_cycles, 0);
+    }
+
+    #[test]
+    fn next_event_waits_for_the_first_legal_issue() {
+        let c = SystemConfig::two_core(); // several CPU cycles per bus edge
+        let mut mc = MemoryController::new(&c, SchedPolicy::FrFcfs);
+        let t = *mc.device.timing();
+        assert!(t.cmd_cycle > 1);
+        read_at(&mut mc, 0x40, 1, 0);
+        let bank = mc.mapper.decode(0x40).bank as usize;
+        mc.tick(0);
+        assert_eq!(mc.stats().banks[bank].acts, 1, "ACT issues at edge 0");
+        // The read's RD is held by tRCD: the controller sleeps until that
+        // edge instead of waking on every edge in between.
+        let rd_edge = t.tRCD.next_multiple_of(t.cmd_cycle);
+        assert!(rd_edge > t.cmd_cycle);
+        assert_eq!(mc.next_event_at(1), Some(rd_edge));
+        for now in 1..rd_edge {
+            assert!(mc.tick(now).is_empty());
+            assert_eq!(mc.next_event_at(now + 1), Some(rd_edge));
+        }
+        mc.tick(rd_edge);
+        // Issued: the next event is its data completion.
+        let done = rd_edge + t.tCAS + t.tBURST;
+        assert_eq!(mc.next_event_at(rd_edge + 1), Some(done));
+        // The skipped edges were still charged: BankBusy on every edge from
+        // the ACT's up to the RD's, owned by the reader itself.
+        let leak = mc.interference().unwrap();
+        assert_eq!(leak.total_stall_cycles, rd_edge);
+        assert_eq!(leak.matrix[0][0], rd_edge);
+    }
+
+    #[test]
+    fn next_event_is_the_next_edge_while_refresh_is_pending() {
+        let c = SystemConfig::two_core();
+        let mut mc = MemoryController::new(&c, SchedPolicy::FrFcfs);
+        let t = *mc.device.timing();
+        let cc = t.cmd_cycle;
+        // Open a row one edge before the refresh deadline: at the deadline
+        // the drain cannot precharge it yet (tRAS), so refresh stays
+        // pending and every edge may be the one the drain needs.
+        let act_at = t.tREFI - cc;
+        read_at(&mut mc, 0x40, 1, act_at);
+        mc.tick(act_at);
+        mc.tick(t.tREFI);
+        assert!(mc.refresh_pending);
+        assert_eq!(mc.next_event_at(t.tREFI + 1), Some(t.tREFI + cc));
     }
 
     #[test]

@@ -17,6 +17,14 @@
 //! global `(deliver_at, sender, seq)` order. `DG_SHARDS=1` vs
 //! `DG_SHARDS=N` is the repo's differential oracle for the subsystem.
 //!
+//! Stop conditions are evaluated only at barriers, so a sharded run's
+//! `meta.total_cycles`, bandwidth and background energy are measured up to
+//! the barrier where the stop condition was seen, not to the cycle the
+//! last core finished. Barrier placement follows the global
+//! quiescence-skip hint (the earliest `next_event_at` over all shards), so
+//! these fields move whenever a component's `next_event_at` changes, even
+//! though no simulated event does. They never depend on the shard count.
+//!
 //! See DESIGN.md ("Sharded simulation") for the topology, the barrier
 //! protocol, and the determinism argument.
 

@@ -9,11 +9,14 @@
 //! 1. **Direct**: a tick that produces responses while the promise made
 //!    immediately before it claimed quiescence is a violation.
 //! 2. **Differential**: replaying the schedule with promise-driven cycle
-//!    skipping must produce the exact response stream of the naive
+//!    skipping must produce the exact response stream, interference
+//!    matrix and statistics (per-bank counters included) of the naive
 //!    cycle-by-cycle replay — catching promises that hide internal state
-//!    changes with delayed observable effects.
+//!    changes with delayed observable effects, and skipped cycles whose
+//!    stall attribution was never charged.
 
-use dg_mem::MemorySubsystem;
+use dg_dram::power::EnergyCounter;
+use dg_mem::{BankStats, MemorySubsystem};
 use dg_sim::clock::Cycle;
 use dg_sim::types::{MemRequest, MemResponse};
 
@@ -84,9 +87,11 @@ pub fn replay_naive(
 
 /// Replays `sends` against `mem` using promise-driven cycle skipping:
 /// every cycle the promise declares a no-op (and that carries no due send)
-/// is skipped, exactly as the sharded engine would. Returns the observable
-/// response stream, which [`check_lookahead_contract`] compares against
-/// the naive replay.
+/// is skipped, exactly as the sharded engine would — including its rule
+/// that the last cycle (`horizon - 1`) is always ticked, so end-of-run
+/// statistics cover the same span as the naive replay. Returns the
+/// observable response stream, which [`check_lookahead_contract`]
+/// compares against the naive replay.
 pub fn replay_skipping(
     mem: &mut dyn MemorySubsystem,
     sends: &Schedule,
@@ -106,9 +111,14 @@ pub fn replay_skipping(
             next_send += 1;
         }
         now += 1;
-        // Skip to the earlier of the promise and the next scheduled send.
+        if now >= horizon {
+            break;
+        }
+        // Skip to the earlier of the promise, the next scheduled send and
+        // the last cycle.
+        let last = horizon - 1;
         let promise = mem.next_event_at(now);
-        let mut target = promise.map_or(horizon, |t| t.clamp(now, horizon));
+        let mut target = promise.map_or(last, |t| t.clamp(now, last));
         if next_send < sends.len() {
             target = target.min(sends[next_send].0.max(now));
         }
@@ -117,21 +127,62 @@ pub fn replay_skipping(
     out
 }
 
+/// The simulation-outcome part of [`dg_mem::MemStats`] the differential
+/// compares: per-domain counts and latency sums, per-bank counters (tFAW
+/// stall cycles included), refreshes, energy and dropped responses.
+#[derive(Debug, PartialEq)]
+struct StatsOutcome {
+    domains: Vec<[u64; 5]>,
+    banks: Vec<BankStats>,
+    refreshes: u64,
+    energy: EnergyCounter,
+    dropped: u64,
+}
+
+impl StatsOutcome {
+    fn of(mem: &mut dyn MemorySubsystem) -> Self {
+        mem.refresh_stats();
+        let stats = mem.stats();
+        Self {
+            domains: stats
+                .domains()
+                .iter()
+                .map(|d| {
+                    [
+                        d.reads,
+                        d.writes,
+                        d.fakes,
+                        d.latency_sum,
+                        d.bandwidth.bytes(),
+                    ]
+                })
+                .collect(),
+            banks: stats.banks.clone(),
+            refreshes: stats.refreshes,
+            energy: stats.energy,
+            dropped: stats.dropped,
+        }
+    }
+}
+
 /// Runs both replays of the same schedule over subsystems produced by
 /// `make` (called twice — the two replays must start from identical
 /// state) and checks both forms of the contract.
 ///
 /// # Errors
 ///
-/// Returns a [`LookaheadViolation`] when the direct check fires or the
-/// two response streams diverge.
+/// Returns a [`LookaheadViolation`] when the direct check fires, the two
+/// response streams diverge, or the two subsystems disagree at the horizon
+/// on their interference matrix or statistics.
 pub fn check_lookahead_contract(
     mut make: impl FnMut() -> Box<dyn MemorySubsystem>,
     sends: &Schedule,
     horizon: Cycle,
 ) -> Result<(), LookaheadViolation> {
-    let naive = replay_naive(make().as_mut(), sends, horizon)?;
-    let skipped = replay_skipping(make().as_mut(), sends, horizon);
+    let mut naive_mem = make();
+    let mut skipped_mem = make();
+    let naive = replay_naive(naive_mem.as_mut(), sends, horizon)?;
+    let skipped = replay_skipping(skipped_mem.as_mut(), sends, horizon);
     if naive != skipped {
         let at = naive
             .iter()
@@ -152,6 +203,29 @@ pub fn check_lookahead_contract(
                 "skipping replay diverged from naive replay ({} vs {} responses)",
                 naive.len(),
                 skipped.len()
+            ),
+        });
+    }
+    let (naive_leak, skipped_leak) = (naive_mem.interference(), skipped_mem.interference());
+    if naive_leak != skipped_leak {
+        return Err(LookaheadViolation {
+            at: horizon,
+            promised: None,
+            detail: format!(
+                "skipping replay's interference {skipped_leak:?} differs from the naive \
+                 replay's {naive_leak:?}"
+            ),
+        });
+    }
+    let naive_stats = StatsOutcome::of(naive_mem.as_mut());
+    let skipped_stats = StatsOutcome::of(skipped_mem.as_mut());
+    if naive_stats != skipped_stats {
+        return Err(LookaheadViolation {
+            at: horizon,
+            promised: None,
+            detail: format!(
+                "skipping replay's statistics {skipped_stats:?} differ from the naive \
+                 replay's {naive_stats:?}"
             ),
         });
     }

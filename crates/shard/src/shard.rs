@@ -256,8 +256,12 @@ impl Shard {
             self.engine.tick();
             self.tick_cycle(now);
             now += 1;
-            if self.skip && now < end {
-                now = self.maybe_warp(now, end);
+            // Warp at most to the superstep's last cycle, which is always
+            // ticked: a no-op by the `next_event_at` contract, but it lets
+            // the memory controllers charge stall attribution for the
+            // edges they skipped up to the barrier, where a run may stop.
+            if self.skip && now + 1 < end {
+                now = self.maybe_warp(now, end - 1);
             }
         }
     }

@@ -26,6 +26,29 @@ fn stream(n: u64, base: u64, stride: u64, gap: u64) -> MemTrace {
     t
 }
 
+/// A stream that keeps its channel saturated: gaps cycle through 0–2 and
+/// every third op is a store.
+fn saturating_stream(n: u64, base: u64, stride: u64) -> MemTrace {
+    let mut t = MemTrace::new();
+    for i in 0..n {
+        if i % 3 == 2 {
+            t.store(base + i * stride, (i / 3) % 3);
+        } else {
+            t.load(base + i * stride, (i / 3) % 3);
+        }
+    }
+    t
+}
+
+fn saturating_traces() -> Vec<MemTrace> {
+    vec![
+        saturating_stream(300, 0, 64 * 97),
+        saturating_stream(300, 1 << 30, 64 * 131),
+        saturating_stream(300, 2 << 30, 64 * 193),
+        saturating_stream(300, 3 << 30, 64 * 61),
+    ]
+}
+
 fn four_traces() -> Vec<MemTrace> {
     vec![
         stream(200, 0, 64 * 97, 10),
@@ -53,10 +76,19 @@ fn kinds() -> Vec<MemoryKind> {
 }
 
 fn build(kind: &MemoryKind, channels: u32, shards: usize) -> ShardedSystem {
+    build_with(kind, four_traces(), channels, shards)
+}
+
+fn build_with(
+    kind: &MemoryKind,
+    traces: Vec<MemTrace>,
+    channels: u32,
+    shards: usize,
+) -> ShardedSystem {
     let mut cfg = SystemConfig::two_core();
     cfg.dram_org.channels = channels;
     let mut b = ShardedSystemBuilder::new(cfg, ShardConfig::with_shards(shards));
-    for t in four_traces() {
+    for t in traces {
         b = b.trace_core(t);
     }
     b.memory(kind.clone()).build()
@@ -118,6 +150,29 @@ fn naive_engine_matches_event_skipping() {
         normalized_report_json(&fast, "engines"),
         normalized_report_json(&naive, "engines"),
     );
+
+    // Saturated channels: requests wait on device horizons across skipped
+    // edges, and a run can stop with transactions still blocked (shapers
+    // keep issuing), so both engines must charge every edge up to the
+    // final barrier.
+    for kind in kinds() {
+        let mut fast = build_with(&kind, saturating_traces(), 4, 2);
+        fast.run_until_finished(100_000_000).unwrap();
+        let mut naive = build_with(&kind, saturating_traces(), 4, 2);
+        naive.set_event_skipping(false);
+        naive.run_until_finished(100_000_000).unwrap();
+        let report = fast.report("saturated");
+        let leak = report.interference.as_ref().expect("controllers attribute");
+        assert!(
+            leak.total_stall_cycles > 0,
+            "{kind:?}: channels never stalled"
+        );
+        assert_eq!(
+            normalized_report_json(&fast, "saturated"),
+            normalized_report_json(&naive, "saturated"),
+            "{kind:?}: engines diverged on saturated channels"
+        );
+    }
 }
 
 #[test]

@@ -157,6 +157,47 @@ fn event_skipping_matches_naive_engine_byte_for_byte() {
 }
 
 #[test]
+fn stall_attribution_matches_recorded_values() {
+    // The cross-engine tests compare two engines of the same code, so a
+    // change to how stall attribution is computed could drift both alike.
+    // Pin the observed run's interference block and tFAW stall counters to
+    // values recorded from the per-edge attribution the span charge
+    // replaced.
+    let (_, report) = observed_run();
+    let leak = report.interference.expect("interference matrix recorded");
+    assert_eq!(leak.total_stall_cycles, 283_686);
+    assert_eq!(
+        leak.matrix,
+        vec![
+            vec![7_578, 16_911, 0, 0],
+            vec![19_845, 232_818, 0, 0],
+            vec![0; 4],
+            vec![0; 4],
+        ]
+    );
+    let by_cause: Vec<(&str, u64)> = leak
+        .by_cause
+        .iter()
+        .map(|c| (c.cause.as_str(), c.cycles))
+        .collect();
+    assert_eq!(
+        by_cause,
+        [
+            ("queue_wait", 118_956),
+            ("bank_busy", 121_368),
+            ("bus_conflict", 381),
+            ("act_window", 36_546),
+            ("refresh", 6_435),
+        ]
+    );
+    let faw: Vec<u64> = report.banks.iter().map(|b| b.faw_stall_cycles).collect();
+    assert_eq!(
+        faw,
+        [2_304, 2_610, 1_812, 2_445, 2_328, 2_604, 1_812, 2_508]
+    );
+}
+
+#[test]
 fn interval_samples_cover_the_run() {
     let (_, report) = observed_run();
     assert_eq!(report.interval_window, 5_000);
