@@ -48,6 +48,17 @@ awk '$1 == "\"coverage\":" {gsub(/,/, "", $2); n++; if ($2 + 0 < 0.9) {bad=1; v=
   }' "$SMOKE_DIR/profile.json"
 test -s "$SMOKE_DIR/profile.folded" \
   || { echo "profile: collapsed-stack artifact missing or empty"; exit 1; }
+# The same gate on a harness whose sweep jobs run on worker threads: their
+# trees must reach the harness profile, not only dg-run's. Run from the
+# scratch dir so results/ is left alone.
+FIG9="$PWD/target/release/fig9_twocore"
+(cd "$SMOKE_DIR" && "$FIG9" --jobs 2 --profile fig9_profile.json > /dev/null)
+awk '$1 == "\"coverage\":" {gsub(/,/, "", $2); v=$2; exit}
+  END {
+    if (v == "") { print "profile: fig9_twocore recorded no coverage"; exit 1 }
+    if (v + 0 < 0.9) { print "profile: fig9_twocore attributes only " v " of its time (need >= 0.9)"; exit 1 }
+    print "profile: fig9_twocore sweep attributes " v " of its time"
+  }' "$SMOKE_DIR/fig9_profile.json"
 # Resuming from the journal skips everything and reproduces the report
 # byte-for-byte at a different worker count.
 "$DG_RUN" examples/smoke.toml --quiet --jobs 1 --retries 2 --escalation 1000 \
@@ -184,6 +195,18 @@ grep -q '"interference": {' "$SMOKE_DIR/fig5_fast.norm" \
 cmp "$SMOKE_DIR/fig5_fast.norm" "$SMOKE_DIR/fig5_naive.norm" \
   || { echo "engines: fig5 metrics differ between the naive and event engines"; exit 1; }
 echo "engines: fig5 metrics byte-identical across engines (engine block deleted)"
+# Every defense of the paper's sweep: the 84-job grid of
+# examples/defense_sweep.toml at the smoke preset, through dg-run, under
+# both engines. A stale cached wake time in any defense's next_event_at
+# changes a merged report.
+sed 's/^preset = "quick"$/preset = "smoke"/' examples/defense_sweep.toml > "$SMOKE_DIR/grid.toml"
+grep -q '^preset = "smoke"$' "$SMOKE_DIR/grid.toml" \
+  || { echo "engines: could not derive the smoke-preset defense grid"; exit 1; }
+"$DG_RUN" "$SMOKE_DIR/grid.toml" --quiet --jobs 2 --out "$SMOKE_DIR/grid_fast.json"
+DG_NO_SKIP=1 "$DG_RUN" "$SMOKE_DIR/grid.toml" --quiet --jobs 2 --out "$SMOKE_DIR/grid_naive.json"
+cmp "$SMOKE_DIR/grid_fast.json" "$SMOKE_DIR/grid_naive.json" \
+  || { echo "engines: defense grid reports differ between the naive and event engines"; exit 1; }
+echo "engines: 7-defense grid reports byte-identical across engines"
 
 echo "=== perf smoke (event-driven engine vs naive loop) ==="
 # The event-driven engine must hold a real wall-clock win on the idle-heavy

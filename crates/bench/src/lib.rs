@@ -154,19 +154,28 @@ impl HarnessArgs {
     /// Stops the profiler (started by [`parse_harness_args`] when
     /// `--profile` was given) and writes the host-time attribution tree
     /// plus its collapsed-stack `.folded` sibling, printing the top
-    /// self-time components. Harnesses call this last — including before
-    /// any early `std::process::exit`. Same failure policy as
-    /// [`export`](Self::export); a no-op without `--profile`.
+    /// self-time components. Sweep jobs ran on worker threads, which
+    /// submitted their trees to [`dg_prof::collector`] (see
+    /// [`dg_runner::run_sweep`]); they are drained and merged in, so the
+    /// tree covers every thread's share of the run. Harnesses call this
+    /// last — including before any early `std::process::exit`. Same
+    /// failure policy as [`export`](Self::export); a no-op without
+    /// `--profile`.
     pub fn export_profile(&self) {
         let Some(path) = &self.profile else {
             return;
         };
-        let Some(report) = dg_prof::stop() else {
+        let Some(mut report) = dg_prof::stop() else {
             eprintln!("warning: --profile given but the profiler is compiled out (dg-prof `prof` feature)");
             return;
         };
+        // Worker trees overlap the caller's in time: the merged total is
+        // summed thread time, above the wall time when jobs ran in parallel.
+        for (_, piece) in dg_prof::collector::drain() {
+            report.merge(&piece);
+        }
         eprintln!(
-            "[host profile: {:.1} ms wall, {:.0}% attributed]",
+            "[host profile: {:.1} ms summed thread time, {:.0}% attributed]",
             report.total_ns as f64 / 1e6,
             report.coverage * 100.0
         );

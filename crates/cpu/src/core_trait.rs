@@ -55,8 +55,12 @@ pub trait Core: Send {
     /// - `None`: the core advances only when [`Core::on_response`] is
     ///   called (or has nothing left to do); it schedules no event itself.
     ///
-    /// The conservative default declares the core always active, which is
-    /// correct for any implementation.
+    /// The answer must depend only on the core's own state, so that it
+    /// stays valid until the core is next ticked or receives a response:
+    /// the event engine asks once after each tick and caches the answer,
+    /// skipping the core's ticks until then. The conservative default
+    /// declares the core always active, which is correct for any
+    /// implementation.
     fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
         Some(now)
     }

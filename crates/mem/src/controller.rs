@@ -607,36 +607,53 @@ impl MemorySubsystem for MemoryController {
     }
 
     fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
-        let cmd_cycle = self.device.timing().cmd_cycle;
         let auto_precharge = self.auto_precharge();
-        let mut ev: Option<Cycle> = None;
+        // Completions are collected the cycle `done` is reached.
+        let mut done_at = Cycle::MAX;
+        // Every other event is the first command-bus edge at or after some
+        // device horizon (`DramDevice::earliest` rounds each the same,
+        // monotone way), so the horizons are folded first and rounded once.
+        //
+        // Refresh maintenance wakes the controller even when fully idle:
+        // the first edge at or after the deadline flips `refresh_pending`.
+        let mut horizon = self.device.refresh_deadline();
+        // A refresh drain may precharge any open bank, so it wakes on every
+        // edge until the REF issues.
+        if self.refresh_pending {
+            horizon = horizon.min(now);
+        }
+        // Banks already queried, one bit per bank for each command kind
+        // (RD, WR, PRE, ACT). A bank's pending transactions need at most
+        // these four commands, and an ACT's horizon does not depend on its
+        // row, so each (bank, kind) pair needs one device query.
+        let mut asked = [0u64; 4];
         for txn in &self.txq {
-            let at = match txn.state {
-                // Completions are collected the cycle `done` is reached.
-                TxnState::Issued { done } => done.max(now),
+            match txn.state {
+                TxnState::Issued { done } => done_at = done_at.min(done),
                 // Every command the scheduler can issue is the next command
                 // of some pending transaction, so the first edge any of them
                 // is legal bounds the next issue. Skipped edges are charged
                 // in closed form on the next visit or enqueue.
-                TxnState::Pending => self
-                    .device
-                    .earliest(txn.needed_cmd(&self.device, auto_precharge), now),
-            };
-            ev = dg_sim::clock::earliest_event(ev, Some(at));
+                TxnState::Pending => {
+                    let cmd = txn.needed_cmd(&self.device, auto_precharge);
+                    let kind = match cmd {
+                        DramCommand::Read { .. } => 0,
+                        DramCommand::Write { .. } => 1,
+                        DramCommand::Precharge { .. } => 2,
+                        DramCommand::Activate { .. } | DramCommand::Refresh => 3,
+                    };
+                    let bank = 1u64 << txn.loc.bank;
+                    if asked[kind] & bank == 0 {
+                        asked[kind] |= bank;
+                        horizon = horizon.min(self.device.binding_horizon(cmd).0);
+                    }
+                }
+            }
         }
-        // A refresh drain may precharge any open bank, so it wakes on every
-        // edge until the REF issues.
-        if self.refresh_pending {
-            ev = dg_sim::clock::earliest_event(ev, Some(now.next_multiple_of(cmd_cycle)));
-        }
-        // Refresh maintenance wakes the controller even when fully idle:
-        // the first edge at or after the deadline flips `refresh_pending`.
-        let refresh_edge = self
-            .device
-            .refresh_deadline()
+        let edge = horizon
             .max(now)
-            .next_multiple_of(cmd_cycle);
-        dg_sim::clock::earliest_event(ev, Some(refresh_edge))
+            .next_multiple_of(self.device.timing().cmd_cycle);
+        Some(edge.min(done_at.max(now)))
     }
 
     fn stats(&self) -> &MemStats {
@@ -1016,6 +1033,67 @@ mod tests {
         mc.tick(t.tREFI);
         assert!(mc.refresh_pending);
         assert_eq!(mc.next_event_at(t.tREFI + 1), Some(t.tREFI + cc));
+    }
+
+    /// The fold `next_event_at` deduplicates: one device query per
+    /// pending transaction.
+    fn per_txn_next_event(mc: &MemoryController, now: Cycle) -> Option<Cycle> {
+        let cmd_cycle = mc.device.timing().cmd_cycle;
+        let mut ev: Option<Cycle> = None;
+        for txn in &mc.txq {
+            let at = match txn.state {
+                TxnState::Issued { done } => done.max(now),
+                TxnState::Pending => mc
+                    .device
+                    .earliest(txn.needed_cmd(&mc.device, mc.auto_precharge()), now),
+            };
+            ev = dg_sim::clock::earliest_event(ev, Some(at));
+        }
+        if mc.refresh_pending {
+            ev = dg_sim::clock::earliest_event(ev, Some(now.next_multiple_of(cmd_cycle)));
+        }
+        let refresh_edge = mc
+            .device
+            .refresh_deadline()
+            .max(now)
+            .next_multiple_of(cmd_cycle);
+        dg_sim::clock::earliest_event(ev, Some(refresh_edge))
+    }
+
+    #[test]
+    fn next_event_equals_the_per_transaction_fold() {
+        // Random reads and writes from two domains over few rows of every
+        // bank keep same-bank hits, conflicts and activations queued
+        // together, under both row policies and across refreshes.
+        for policy in [RowPolicy::Open, RowPolicy::Closed] {
+            let c = SystemConfig::two_core().with_row_policy(policy);
+            let mut mc = MemoryController::new(&c, SchedPolicy::FrFcfs);
+            let mut rng = dg_sim::rng::DetRng::new(7);
+            let (banks, row_bytes) = (u64::from(c.dram_org.banks), c.dram_org.row_bytes);
+            let mut compared_busy = 0;
+            for now in 0..60_000 {
+                if rng.next_bool(0.2) {
+                    let line = rng.next_below(banks * 4) * row_bytes + rng.next_below(4) * 64;
+                    let domain = DomainId(rng.next_below(2) as u16);
+                    let req = if rng.next_bool(0.3) {
+                        MemRequest::write(domain, line, now)
+                    } else {
+                        MemRequest::read(domain, line, now)
+                    };
+                    let _ = mc.try_send(req.with_id(ReqId(now)), now);
+                }
+                mc.tick(now);
+                assert_eq!(
+                    mc.next_event_at(now + 1),
+                    per_txn_next_event(&mc, now + 1),
+                    "{policy:?} at cycle {now}"
+                );
+                if mc.occupancy() > 4 {
+                    compared_busy += 1;
+                }
+            }
+            assert!(compared_busy > 10_000, "queue rarely held several requests");
+        }
     }
 
     #[test]

@@ -42,6 +42,13 @@ pub trait MemorySubsystem: Send {
     /// passive: it wakes only on external input. The default `Some(now)`
     /// ("always active") is conservative and disables cycle skipping for
     /// implementations that do not opt in.
+    ///
+    /// The answer must stay valid until the subsystem is next ticked or
+    /// accepts a request: the event engine asks once after each visit and
+    /// caches the answer, visiting the subsystem again only at that cycle,
+    /// or on a cycle a request is offered (then before the offer). A tick
+    /// before the answer must be a no-op apart from catching up lazily
+    /// kept bookkeeping, and must produce no response.
     fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
         Some(now)
     }
@@ -125,7 +132,10 @@ pub trait DomainShaper: Send {
     /// The earliest cycle `t >= now` at which this shaper could emit a
     /// request or otherwise change state, absent new accepts/responses.
     /// `None` means the shaper wakes only on external input. The default
-    /// `Some(now)` is conservative and disables cycle skipping.
+    /// `Some(now)` is conservative and disables cycle skipping. Like
+    /// [`MemorySubsystem::next_event_at`], which it feeds, the answer must
+    /// stay valid until the shaper is next ticked, accepts a request or
+    /// observes a response.
     fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
         Some(now)
     }

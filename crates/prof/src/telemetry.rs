@@ -22,13 +22,15 @@ pub struct EngineCounters {
     pub warped_cycles: u64,
     /// Distribution of warp lengths in cycles.
     pub warp_distance: LogHistogram,
-    /// Quiescence scans that found no skippable gap.
+    /// Warp attempts that found nothing to skip: some component was due
+    /// on the very next cycle (see [`EngineTelemetry::failed_scans`]).
     pub failed_scans: u64,
-    /// Ticks where the scan was suppressed by the adaptive backoff.
+    /// Ticks where the sharded runtime's core fold was suppressed by its
+    /// adaptive backoff.
     pub backoff_suppressed: u64,
-    /// Largest backoff the failure streak reached.
+    /// Largest backoff the sharded core fold's failure streak reached.
     pub max_backoff: u64,
-    /// Per-component `next_event_at` poll counts, in scan order.
+    /// Per-component `next_event_at` poll counts, in first-poll order.
     pub polls: Vec<(&'static str, u64)>,
 }
 
@@ -127,13 +129,21 @@ pub struct EngineTelemetry {
     pub skip_efficiency: f64,
     /// Histogram of warp lengths.
     pub warp_distance: HistSnapshot,
-    /// Quiescence scans that found nothing to skip.
+    /// Warp attempts, one after each executed tick, that found nothing to
+    /// skip. `System` jumps to its earliest cached wake time, so there this
+    /// counts ticks followed at once by another tick (some component due
+    /// on the next cycle). A shard counts its intra-superstep warp
+    /// attempts the same way; its core fold is backed off.
     pub failed_scans: u64,
-    /// Ticks where the adaptive backoff suppressed the scan.
+    /// Ticks where the adaptive backoff suppressed a warp attempt. Only
+    /// the sharded runtime's core fold backs off; `System` reads cached
+    /// wake times and reports 0.
     pub backoff_suppressed: u64,
-    /// Largest backoff reached.
+    /// Largest backoff reached (sharded runtime only; 0 for `System`).
     pub max_backoff: u64,
-    /// Per-component poll counts.
+    /// Per-component `next_event_at` poll counts. The event engines poll a
+    /// component after it ticks (`System`: every component; shards: every
+    /// channel, and every core in the backed-off fold).
     pub polls: Vec<ComponentPolls>,
 }
 

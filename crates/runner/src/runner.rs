@@ -251,6 +251,10 @@ impl<R: Serialize> SweepOutcome<R> {
     }
 }
 
+/// Collector id of a profiling caller's own share of the run (see
+/// [`run_sweep`]).
+const CALLER_PROFILE_ID: &str = "(caller)";
+
 /// Runs `jobs` through the work-stealing pool under `cfg`, journaling
 /// terminal records and merging resumed results.
 ///
@@ -266,6 +270,16 @@ impl<R: Serialize> SweepOutcome<R> {
 /// journal degrades to in-memory mode, completed results are kept and
 /// merged, and the damage is surfaced through [`SweepOutcome::health`]
 /// (and the [`ExitClass::Infra`] exit code) instead.
+///
+/// # Host profiling
+///
+/// When the calling thread is recording a `dg_prof` profile (a harness run
+/// with `--profile`), every successful job attempt is profiled on the
+/// worker thread that ran it and submitted to [`dg_prof::collector`] under
+/// its job id, and the caller's profile so far is submitted there too
+/// (under the id `(caller)`) and restarted after the sweep. The caller's
+/// tree therefore never counts the sweep as unattributed waiting, and the
+/// drained collector holds every thread's share of the run.
 pub fn run_sweep<J, R, F>(cfg: &RunnerConfig, jobs: &[J], exec: F) -> io::Result<SweepOutcome<R>>
 where
     J: JobDesc,
@@ -325,6 +339,12 @@ where
     // executor's result path, so enabling it cannot change the report.
     let monitoring = Monitoring::start(cfg, jobs, &pending, resumed.len() as u64)?;
 
+    let caller_profile = dg_prof::is_enabled().then(dg_prof::stop).flatten();
+    let profile_jobs = caller_profile.is_some();
+    if let Some(p) = caller_profile {
+        dg_prof::collector::submit(CALLER_PROFILE_ID, p);
+    }
+
     let results: Mutex<Vec<JobRecord<R>>> = Mutex::new(Vec::with_capacity(pending.len()));
     let quarantined: Mutex<Vec<(String, PathBuf)>> = Mutex::new(Vec::new());
     let quarantine_errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
@@ -347,7 +367,20 @@ where
                 deadline: cfg.timeout.map(|t| Instant::now() + t),
                 monitor: probe.clone(),
             };
-            match catch_unwind(AssertUnwindSafe(|| exec(job, &ctx))) {
+            let attempt_run = || {
+                if !profile_jobs {
+                    return exec(job, &ctx);
+                }
+                dg_prof::start();
+                let r = exec(job, &ctx);
+                // Only successful attempts count, as in `execute_job`: a
+                // Deadline retry would otherwise double-count the job.
+                if let Some(p) = dg_prof::stop().filter(|_| r.is_ok()) {
+                    dg_prof::collector::submit(id, p);
+                }
+                r
+            };
+            match catch_unwind(AssertUnwindSafe(attempt_run)) {
                 Ok(Ok(r)) => break (Some(r), None),
                 Ok(Err(e))
                     if attempt < cfg.retries
@@ -451,6 +484,10 @@ where
         meter.job_done(id, record.is_ok(), record.attempts);
         results.lock().push(record);
     });
+
+    if profile_jobs {
+        dg_prof::start();
+    }
 
     let mut health = SweepHealth {
         failure_budget: cfg.max_failures,
@@ -747,6 +784,34 @@ mod tests {
             verbose: false,
             backoff: Duration::from_millis(1),
             ..RunnerConfig::default()
+        }
+    }
+
+    #[test]
+    fn profiling_caller_collects_every_job_profile() {
+        dg_prof::start();
+        if !dg_prof::is_enabled() {
+            return; // built without the `prof` feature
+        }
+        let out = run_sweep(&quiet(), &jobs(3), |_, ctx| {
+            let _work = dg_prof::span("work");
+            Ok::<u64, SimError>(ctx.seed)
+        })
+        .unwrap();
+        assert_eq!(out.progress.succeeded, 3);
+        assert!(
+            dg_prof::is_enabled(),
+            "the caller's profiler runs again after the sweep"
+        );
+        dg_prof::stop();
+        let pieces = dg_prof::collector::drain();
+        let ids: Vec<&str> = pieces.iter().map(|(id, _)| id.as_str()).collect();
+        assert_eq!(ids, [CALLER_PROFILE_ID, "test/00", "test/01", "test/02"]);
+        for (id, p) in &pieces[1..] {
+            assert!(
+                p.root.children.iter().any(|c| c.name == "work"),
+                "{id}: the job's spans reach its profile"
+            );
         }
     }
 

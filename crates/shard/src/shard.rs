@@ -69,6 +69,9 @@ pub(crate) struct ShardChannel {
     ingress: VecDeque<StampedReq>,
     /// Next response sequence number.
     resp_seq: u64,
+    /// Event engine: the first cycle at which the channel can act, from
+    /// its `next_event_at`; refreshed after every visit.
+    wake: Cycle,
 }
 
 /// The NoC egress port a core sends through while it ticks: stamps each
@@ -196,6 +199,7 @@ impl Shard {
                     mem,
                     ingress: VecDeque::new(),
                     resp_seq: 0,
+                    wake: 0,
                 })
                 .collect(),
             resp_ingress: VecDeque::new(),
@@ -221,6 +225,10 @@ impl Shard {
     /// Enables or disables intra-superstep quiescent-cycle skipping.
     pub fn set_event_skipping(&mut self, on: bool) {
         self.skip = on;
+        // Cached wakes are not kept up by the naive loop.
+        for ch in &mut self.channels {
+            ch.wake = 0;
+        }
     }
 
     /// Whether every owned core finished (vacuously true for core-less
@@ -254,7 +262,7 @@ impl Shard {
         let mut now = start;
         while now < end {
             self.engine.tick();
-            self.tick_cycle(now);
+            self.tick_cycle(now, now + 1 == end);
             now += 1;
             // Warp at most to the superstep's last cycle, which is always
             // ticked: a no-op by the `next_event_at` contract, but it lets
@@ -270,7 +278,13 @@ impl Shard {
     /// (stamping completions onto the response outbox), deliver due NoC
     /// responses, then tick cores through the egress port. Every loop runs
     /// in global index order so the schedule is partition-independent.
-    fn tick_cycle(&mut self, now: Cycle) {
+    ///
+    /// Under the event engine a channel is ticked only when it is due: at
+    /// its cached wake, on a cycle its ingress delivered a request, and on
+    /// the superstep's `last` cycle, where a run may stop at the barrier
+    /// and every skipped bus edge must be charged. Requests are injected
+    /// before the channel tick, so an accepted one needs no earlier visit.
+    fn tick_cycle(&mut self, now: Cycle, last: bool) {
         let Self {
             cores,
             channels,
@@ -283,13 +297,16 @@ impl Shard {
             resp_buf,
             port_stats,
             core_base,
+            skip,
+            engine,
             ..
         } = self;
 
-        // 1. Inject due requests, rewriting global → channel-local
-        //    addresses. A full channel blocks its queue head (and only its
-        //    own queue) until slots free up.
         for ch in channels.iter_mut() {
+            // 1. Inject due requests, rewriting global → channel-local
+            //    addresses. A full channel blocks its queue head (and only
+            //    its own queue) until slots free up.
+            let mut accepted = false;
             while let Some(front) = ch.ingress.front() {
                 if front.deliver_at > now {
                     break;
@@ -299,15 +316,19 @@ impl Shard {
                 match ch.mem.try_send(req, now) {
                     Ok(()) => {
                         ch.ingress.pop_front();
+                        accepted = true;
                     }
                     Err(_) => break,
                 }
             }
-        }
 
-        // 2. Tick channels; completions are stamped with their delivery
-        //    cycle and global address and head for the router.
-        for ch in channels.iter_mut() {
+            // 2. Tick the channel if due; completions are stamped with
+            //    their delivery cycle and global address and head for the
+            //    router. (Channels share no state, so injecting into and
+            //    ticking each in turn matches injecting into all first.)
+            if *skip && now < ch.wake && !accepted && !last {
+                continue;
+            }
             resp_buf.clear();
             ch.mem.tick_into(now, resp_buf);
             for resp in resp_buf.iter() {
@@ -320,6 +341,13 @@ impl Shard {
                     resp,
                 });
                 ch.resp_seq += 1;
+            }
+            if *skip {
+                engine.poll(chan_poll_name(ch.gidx));
+                ch.wake = ch
+                    .mem
+                    .next_event_at(now + 1)
+                    .map_or(Cycle::MAX, |t| t.max(now + 1));
             }
         }
 
@@ -356,13 +384,15 @@ impl Shard {
     }
 
     /// The earliest cycle in `[now, end]` at which any owned component can
-    /// act, for intra-superstep skipping. Mirrors the legacy engine's scan
-    /// with two extra sources: pending NoC deliveries on both queues.
+    /// act, for intra-superstep skipping: the channels' cached wakes,
+    /// pending NoC deliveries on both queues, and a fold over the cores.
+    /// (Caching core wakes too would mean polling every core after each of
+    /// its ticks; with many always-active cores per shard that costs more
+    /// than this backed-off fold.)
     fn next_local_event(&mut self, now: Cycle, end: Cycle) -> Cycle {
         let mut ev: Option<Cycle> = None;
         for ch in &self.channels {
-            self.engine.poll(chan_poll_name(ch.gidx));
-            ev = earliest_event(ev, ch.mem.next_event_at(now));
+            ev = earliest_event(ev, Some(ch.wake.max(now)));
             if let Some(front) = ch.ingress.front() {
                 ev = earliest_event(ev, Some(front.deliver_at.max(now)));
             }

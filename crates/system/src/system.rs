@@ -4,18 +4,19 @@ use dg_cache::SetAssocCache;
 use dg_cpu::Core;
 use dg_dram::power::PowerParams;
 use dg_fault::SimFaultKind;
-use dg_mem::MemorySubsystem;
+use dg_mem::{MemStats, MemorySubsystem};
 use dg_obs::{
     BankReport, CoreReport, DomainReport, DramReport, EnergyReport, HistogramSnapshot,
-    IntervalSampler, RunMeta, RunReport, TraceSummary, Tracer,
+    InterferenceReport, IntervalSampler, RunMeta, RunReport, ShaperReport, ShaperTimelineReport,
+    TraceSummary, Tracer,
 };
 use dg_prof::EngineCounters;
 use dg_sim::clock::{earliest_event, Cycle};
 use dg_sim::config::SystemConfig;
 use dg_sim::error::SimError;
-use dg_sim::types::MemResponse;
+use dg_sim::types::{MemRequest, MemResponse};
 
-/// Static poll-count labels for the quiescence scan (one per core index;
+/// Static poll-count labels for the engine telemetry (one per core index;
 /// larger systems share the last label rather than allocating).
 const CORE_POLL_NAMES: [&str; 8] = [
     "core0", "core1", "core2", "core3", "core4", "core5", "core6", "core7",
@@ -41,6 +42,160 @@ struct FaultState {
     seen_primary: u64,
 }
 
+impl FaultState {
+    /// Rewrites the freshly ticked response buffer under the armed fault:
+    /// a stuck bank detains responses completing inside its hold window
+    /// and releases them (in arrival order, ahead of same-cycle traffic)
+    /// once it unwedges; a drop fault silently removes the nth response
+    /// bound for the primary domain.
+    fn apply(&mut self, now: Cycle, resp_buf: &mut Vec<MemResponse>) {
+        match self.kind {
+            SimFaultKind::StuckBank { at, hold } => {
+                let release = at.saturating_add(hold);
+                if now >= at && now < release {
+                    self.held.append(resp_buf);
+                } else if now >= release && !self.held.is_empty() {
+                    resp_buf.splice(0..0, self.held.drain(..));
+                }
+            }
+            SimFaultKind::DropResponse { nth } => {
+                if !self.dropped {
+                    for i in 0..resp_buf.len() {
+                        if resp_buf[i].domain.0 == 0 {
+                            self.seen_primary += 1;
+                            if self.seen_primary == nth {
+                                resp_buf.remove(i);
+                                self.dropped = true;
+                                break;
+                            }
+                        }
+                    }
+                }
+            }
+            SimFaultKind::FreezeClock { .. } | SimFaultKind::Panic { .. } => {}
+        }
+    }
+
+    /// The first fault boundary at or after `now`. Boundaries are events
+    /// too: the engine must never skip a stuck bank's activation or (while
+    /// it detains responses) its release cycle, or a planned panic's
+    /// trigger cycle, so that injection stays byte-identical to the naive
+    /// loop.
+    fn next_boundary(&self, now: Cycle) -> Option<Cycle> {
+        match self.kind {
+            SimFaultKind::StuckBank { at, hold } => {
+                let mut ev = (now <= at).then_some(at);
+                if !self.held.is_empty() {
+                    ev = earliest_event(ev, Some(at.saturating_add(hold).max(now)));
+                }
+                ev
+            }
+            SimFaultKind::Panic { at } => (now <= at).then_some(at),
+            SimFaultKind::DropResponse { .. } | SimFaultKind::FreezeClock { .. } => None,
+        }
+    }
+}
+
+/// Visits the memory path at `now`: ticks it into `out` (cleared first)
+/// and applies the armed response fault, if any.
+fn visit_memory(
+    mem: &mut dyn MemorySubsystem,
+    fault: &mut Option<FaultState>,
+    now: Cycle,
+    out: &mut Vec<MemResponse>,
+) {
+    let _prof = dg_prof::span("mem_tick");
+    out.clear();
+    mem.tick_into(now, out);
+    if let Some(f) = fault {
+        f.apply(now, out);
+    }
+}
+
+/// A cached wake time: `next_event_at(now)` as an absolute cycle, with
+/// "passive until input" as `Cycle::MAX`.
+fn wake_at(ev: Option<Cycle>, now: Cycle) -> Cycle {
+    ev.map_or(Cycle::MAX, |t| t.max(now))
+}
+
+/// The memory path as cores see it while they tick. On a cycle whose
+/// memory phase skipped the path (it was not due), the first offer visits
+/// it first, so every request lands after that cycle's memory visit, as
+/// in the naive loop's memory-first order. By the `next_event_at`
+/// contract such a late visit yields no responses. Everything else is
+/// forwarded untouched.
+struct DuePort<'a> {
+    mem: &'a mut dyn MemorySubsystem,
+    fault: &'a mut Option<FaultState>,
+    scratch: &'a mut Vec<MemResponse>,
+    now: Cycle,
+    /// Whether the path has been visited at `now`.
+    visited: bool,
+    /// Whether the path accepted a request: its cached wake is stale.
+    accepted: bool,
+}
+
+impl MemorySubsystem for DuePort<'_> {
+    fn try_send(&mut self, req: MemRequest, now: Cycle) -> Result<(), MemRequest> {
+        if !self.visited {
+            self.visited = true;
+            visit_memory(&mut *self.mem, self.fault, self.now, self.scratch);
+            assert!(
+                self.scratch.is_empty(),
+                "memory path responded at cycle {} before the wake its next_event_at announced",
+                self.now
+            );
+        }
+        let sent = self.mem.try_send(req, now);
+        self.accepted |= sent.is_ok();
+        sent
+    }
+
+    fn tick_into(&mut self, now: Cycle, out: &mut Vec<MemResponse>) {
+        self.mem.tick_into(now, out);
+    }
+
+    fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
+        self.mem.next_event_at(now)
+    }
+
+    fn stats(&self) -> &MemStats {
+        self.mem.stats()
+    }
+
+    fn stats_mut(&mut self) -> &mut MemStats {
+        self.mem.stats_mut()
+    }
+
+    fn refresh_stats(&mut self) {
+        self.mem.refresh_stats();
+    }
+
+    fn free_slots(&self) -> usize {
+        self.mem.free_slots()
+    }
+
+    fn set_tracer(&mut self, tracer: Tracer) {
+        self.mem.set_tracer(tracer);
+    }
+
+    fn shaper_reports(&self) -> Vec<ShaperReport> {
+        self.mem.shaper_reports()
+    }
+
+    fn interference(&self) -> Option<InterferenceReport> {
+        self.mem.interference()
+    }
+
+    fn enable_shaper_timelines(&mut self, window: Cycle) {
+        self.mem.enable_shaper_timelines(window);
+    }
+
+    fn shaper_timelines(&self) -> Vec<ShaperTimelineReport> {
+        self.mem.shaper_timelines()
+    }
+}
+
 /// A complete simulated system.
 ///
 /// Cores are indexed by their [`dg_sim::types::DomainId`]: core `i` is
@@ -62,15 +217,20 @@ pub struct System {
     resp_buf: Vec<MemResponse>,
     instr_buf: Vec<u64>,
     bytes_buf: Vec<u64>,
-    /// Remaining ticks before the next warp attempt. A failed attempt
-    /// (some component active right now) costs a component scan; backing
-    /// off keeps that overhead negligible under saturation while delaying
-    /// idle detection by at most the backoff length.
-    warp_backoff: Cycle,
-    /// Consecutive failed warp attempts: the backoff grows with the streak
-    /// so steadily-saturated runs scan rarely, while runs that alternate
-    /// activity and idleness keep trying nearly every tick.
-    warp_fail_streak: Cycle,
+    /// Event engine: the first cycle at which the memory path can act, from
+    /// its `next_event_at` (fault boundaries folded in). The path is
+    /// visited only from then on, or earlier when a core offers it a
+    /// request. Refreshed after a due visit or an accepted request.
+    mem_wake: Cycle,
+    /// Event engine: the first cycle at which core `i` can act. Refreshed
+    /// after every tick of that core; a response makes it due at once.
+    core_wake: Vec<Cycle>,
+    /// The earliest cached wake over every component: the warp target.
+    next_wake: Cycle,
+    /// Whether the memory path was visited on the last ticked cycle (no
+    /// warp since). A run that ends otherwise visits it there, so its
+    /// trailing bus edges get their stall attribution.
+    mem_current: bool,
     /// Engine telemetry: how the engine covered simulated time (ticks vs
     /// warps, scan outcomes, poll counts). Purely observational.
     engine: EngineCounters,
@@ -94,6 +254,7 @@ impl System {
         let no_skip = std::env::var("DG_NO_SKIP")
             .map(|v| v != "0" && !v.is_empty())
             .unwrap_or(false);
+        let core_wake = vec![0; cores.len()];
         Self {
             cfg,
             cores,
@@ -107,11 +268,22 @@ impl System {
             resp_buf: Vec::new(),
             instr_buf: Vec::new(),
             bytes_buf: Vec::new(),
-            warp_backoff: 0,
-            warp_fail_streak: 0,
+            mem_wake: 0,
+            core_wake,
+            next_wake: 0,
+            mem_current: false,
             engine: EngineCounters::default(),
             fault: None,
         }
+    }
+
+    /// Makes every component due now, for state changes the cached wake
+    /// times did not see (an armed fault, toggled skipping, shaper
+    /// timelines).
+    fn invalidate_wakes(&mut self) {
+        self.mem_wake = self.now;
+        self.core_wake.fill(self.now);
+        self.next_wake = self.now;
     }
 
     /// Arms a simulation-layer fault. Data-plane kinds (stuck bank,
@@ -127,6 +299,7 @@ impl System {
             dropped: false,
             seen_primary: 0,
         });
+        self.invalidate_wakes();
     }
 
     /// Enables or disables event-driven quiescent-cycle skipping. The two
@@ -134,6 +307,7 @@ impl System {
     /// as the differential-testing oracle (`DG_NO_SKIP=1` sets it globally).
     pub fn set_event_skipping(&mut self, on: bool) {
         self.skip_enabled = on;
+        self.invalidate_wakes();
     }
 
     /// Whether the event-driven engine is active.
@@ -209,6 +383,7 @@ impl System {
     /// memory kinds.
     pub fn enable_shaper_timelines(&mut self, window: Cycle) {
         self.mem.enable_shaper_timelines(window);
+        self.invalidate_wakes();
     }
 
     /// Refreshes the interval-sampler input buffers (cumulative retired
@@ -247,48 +422,10 @@ impl System {
         }
     }
 
-    /// Rewrites the freshly ticked response buffer under the armed fault:
-    /// a stuck bank detains responses completing inside its hold window
-    /// and releases them (in arrival order, ahead of same-cycle traffic)
-    /// once it unwedges; a drop fault silently removes the nth response
-    /// bound for the primary domain.
-    fn apply_response_fault(&mut self, now: Cycle) {
-        let Self {
-            fault: Some(f),
-            resp_buf,
-            ..
-        } = self
-        else {
-            return;
-        };
-        match f.kind {
-            SimFaultKind::StuckBank { at, hold } => {
-                let release = at.saturating_add(hold);
-                if now >= at && now < release {
-                    f.held.append(resp_buf);
-                } else if now >= release && !f.held.is_empty() {
-                    resp_buf.splice(0..0, f.held.drain(..));
-                }
-            }
-            SimFaultKind::DropResponse { nth } => {
-                if !f.dropped {
-                    for i in 0..resp_buf.len() {
-                        if resp_buf[i].domain.0 == 0 {
-                            f.seen_primary += 1;
-                            if f.seen_primary == nth {
-                                resp_buf.remove(i);
-                                f.dropped = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            SimFaultKind::FreezeClock { .. } | SimFaultKind::Panic { .. } => {}
-        }
-    }
-
-    /// Advances the whole system one CPU cycle.
+    /// Advances the whole system one CPU cycle: the memory path, then every
+    /// core. The event engine ticks only the components due at this cycle
+    /// (see DESIGN.md "Event-driven engine"); the others' ticks would be
+    /// no-ops.
     ///
     /// # Panics
     ///
@@ -306,26 +443,69 @@ impl System {
         }
         self.engine.tick();
         let now = self.now;
+        let skip = self.skip_enabled;
         // Memory first: completions this cycle unblock cores this cycle.
-        {
-            let _prof = dg_prof::span("mem_tick");
-            self.resp_buf.clear();
-            self.mem.tick_into(now, &mut self.resp_buf);
-            self.apply_response_fault(now);
-            for i in 0..self.resp_buf.len() {
-                let resp = self.resp_buf[i];
+        // The event engine visits the path only when it is due.
+        let mem_due = !skip || now >= self.mem_wake;
+        if mem_due {
+            let Self {
+                mem,
+                fault,
+                resp_buf,
+                cores,
+                core_wake,
+                ..
+            } = self;
+            visit_memory(mem.as_mut(), fault, now, resp_buf);
+            for resp in resp_buf.iter() {
                 let idx = resp.domain.0 as usize;
-                if let Some(core) = self.cores.get_mut(idx) {
-                    core.on_response(&resp, now);
+                if let Some(core) = cores.get_mut(idx) {
+                    core.on_response(resp, now);
+                    core_wake[idx] = now;
                 }
             }
         }
+        let mut earliest = Cycle::MAX;
+        let mem_accepted;
         {
             let _prof = dg_prof::span("core_tick");
-            for core in &mut self.cores {
-                core.tick(now, &mut self.l3, self.mem.as_mut());
+            let Self {
+                cores,
+                core_wake,
+                l3,
+                mem,
+                fault,
+                resp_buf,
+                engine,
+                ..
+            } = self;
+            let mut port = DuePort {
+                mem: mem.as_mut(),
+                fault,
+                scratch: resp_buf,
+                now,
+                visited: mem_due,
+                accepted: false,
+            };
+            for (i, core) in cores.iter_mut().enumerate() {
+                if !skip || now >= core_wake[i] {
+                    core.tick(now, l3, &mut port);
+                    if skip {
+                        engine.poll(core_poll_name(i));
+                        core_wake[i] = wake_at(core.next_event_at(now + 1), now + 1);
+                    }
+                }
+                earliest = earliest.min(core_wake[i]);
             }
+            self.mem_current = port.visited;
+            mem_accepted = port.accepted;
         }
+        // A visit made only for a refused offer changed nothing the wake
+        // depends on, so the cached wake stands.
+        if skip && (mem_due || mem_accepted) {
+            self.refresh_mem_wake(now + 1);
+        }
+        self.next_wake = earliest.min(self.mem_wake);
         self.now += 1;
         if self.sampler.as_ref().is_some_and(|s| s.due(self.now)) {
             self.refresh_sampler_inputs();
@@ -342,62 +522,53 @@ impl System {
         }
     }
 
-    /// The earliest future cycle at which any component can change state,
-    /// clamped to `[now, limit]`. `limit` is returned when every component
-    /// is fully passive (waiting on input that will never come).
-    fn next_event(&mut self, limit: Cycle) -> Cycle {
-        let _prof = dg_prof::span("quiescence_scan");
-        let now = self.now;
+    /// Re-reads the memory path's wake after a visit, as seen from `now`
+    /// (the cycle after the visit), with fault boundaries folded in.
+    fn refresh_mem_wake(&mut self, now: Cycle) {
+        let _prof = dg_prof::span("wake_refresh");
         self.engine.poll("mem");
-        let mut ev = self.mem.next_event_at(now);
-        for (i, core) in self.cores.iter().enumerate() {
-            self.engine.poll(core_poll_name(i));
-            ev = earliest_event(ev, core.next_event_at(now));
-        }
-        // Fault boundaries are events too: a warp must never jump a stuck
-        // bank's release cycle (detained responses would stay detained past
-        // their deterministic delivery time) or a planned panic's trigger
-        // cycle. Keeping them in the fold preserves naive/event-engine
-        // byte-identity under injection.
-        if let Some(f) = &self.fault {
-            match f.kind {
-                SimFaultKind::StuckBank { at, hold } => {
-                    if now < at {
-                        ev = earliest_event(ev, Some(at));
-                    }
-                    if !f.held.is_empty() {
-                        ev = earliest_event(ev, Some(at.saturating_add(hold)));
-                    }
-                }
-                SimFaultKind::Panic { at } if now < at => {
-                    ev = earliest_event(ev, Some(at));
-                }
-                _ => {}
-            }
-        }
-        ev.map_or(limit, |t| t.clamp(now, limit))
+        let fault = self.fault.as_ref().and_then(|f| f.next_boundary(now));
+        self.mem_wake = wake_at(earliest_event(self.mem.next_event_at(now), fault), now);
     }
 
-    /// Attempts one warp: scans component event times and jumps ahead when
-    /// everything is quiescent. Skipping an attempt is always sound (the
-    /// loop just ticks naively), so failed attempts arm a short backoff to
-    /// amortize the scan under saturation.
-    fn maybe_warp(&mut self, limit: Cycle) {
-        if self.warp_backoff > 0 {
-            self.warp_backoff -= 1;
-            self.engine.backoff_suppressed += 1;
+    /// Visits the memory path at the last ticked cycle when its wake time
+    /// skipped it there, so a run charges stall attribution for every bus
+    /// edge up to its end, as the naive loop does. No core offered a
+    /// request on that cycle (the first offer visits the path), so the
+    /// late visit sees the state the memory-first order shows it; by the
+    /// `next_event_at` contract it yields no responses and leaves the
+    /// cached wake valid.
+    fn visit_trailing_edges(&mut self) {
+        if !self.skip_enabled || self.mem_current || self.now == 0 {
             return;
         }
-        let target = self.next_event(limit);
+        let last = self.now - 1;
+        visit_memory(self.mem.as_mut(), &mut self.fault, last, &mut self.resp_buf);
+        assert!(
+            self.resp_buf.is_empty(),
+            "memory path responded at cycle {last} before the wake its next_event_at announced"
+        );
+        self.mem_current = true;
+    }
+
+    /// Ends a run at the current cycle: trailing memory visit, measured
+    /// cycle count, last interval-sampler window.
+    fn finish_run(&mut self) {
+        self.visit_trailing_edges();
+        self.mem.stats_mut().set_cycles(self.now);
+        self.flush_sampler();
+    }
+
+    /// Warps to the earliest cached wake time (clamped to `limit`) when it
+    /// lies in the future; otherwise some component is due on this very
+    /// cycle and the attempt counts as a failed scan.
+    fn maybe_warp(&mut self, limit: Cycle) {
+        let target = self.next_wake.clamp(self.now, limit);
         if target > self.now {
             self.engine.warp(target - self.now);
             self.warp_to(target);
-            self.warp_fail_streak = 0;
         } else {
             self.engine.failed_scans += 1;
-            self.warp_fail_streak = (self.warp_fail_streak + 1).min(31);
-            self.warp_backoff = self.warp_fail_streak;
-            self.engine.max_backoff = self.engine.max_backoff.max(self.warp_backoff);
         }
     }
 
@@ -424,6 +595,7 @@ impl System {
             }
         }
         self.now = target;
+        self.mem_current = false;
     }
 
     /// Runs until every core finishes.
@@ -435,8 +607,7 @@ impl System {
         let limit = self.now + budget;
         while self.now < limit {
             if self.cores.iter().all(|c| c.finished()) {
-                self.mem.stats_mut().set_cycles(self.now);
-                self.flush_sampler();
+                self.finish_run();
                 return Ok(self.now);
             }
             self.tick();
@@ -463,8 +634,7 @@ impl System {
         let limit = self.now + budget;
         while self.now < limit {
             if self.cores[domain].finished() {
-                self.mem.stats_mut().set_cycles(self.now);
-                self.flush_sampler();
+                self.finish_run();
                 return Ok(self.cores[domain].finished_at().expect("finished"));
             }
             self.tick();
@@ -484,8 +654,7 @@ impl System {
                 self.maybe_warp(limit);
             }
         }
-        self.mem.stats_mut().set_cycles(self.now);
-        self.flush_sampler();
+        self.finish_run();
     }
 
     /// IPC of core `i` as of now.

@@ -3,10 +3,12 @@
 //! traces diffable across defense variants).
 
 use dg_cpu::MemTrace;
-use dg_obs::chrome_trace_json;
+use dg_defenses::IntervalDistribution;
+use dg_fault::SimFaultKind;
+use dg_obs::{chrome_trace_json, Tracer};
 use dg_rdag::template::RdagTemplate;
 use dg_sim::config::SystemConfig;
-use dg_system::{run_colocation_observed, MemoryKind, ObsConfig};
+use dg_system::{run_colocation_observed, MemoryKind, ObsConfig, System, SystemBuilder};
 
 fn stream(n: u64, base: u64, gap: u64) -> MemTrace {
     let mut t = MemTrace::new();
@@ -120,25 +122,106 @@ fn telemetry_has_no_observer_effect() {
     }
 }
 
+/// Every memory path of `examples/defense_sweep.toml`, victim on domain 0.
+fn sweep_kinds() -> Vec<MemoryKind> {
+    vec![
+        MemoryKind::Insecure,
+        MemoryKind::Dagguise {
+            protected: vec![Some(RdagTemplate::new(2, 100, 0.01)), None],
+        },
+        MemoryKind::FixedService,
+        MemoryKind::FsBta,
+        MemoryKind::FsSpatial,
+        MemoryKind::TemporalPartition {
+            slots_per_period: 4,
+        },
+        MemoryKind::Camouflage {
+            protected: vec![Some(IntervalDistribution::figure2()), None],
+        },
+    ]
+}
+
+/// The observed run's system (tracer, interval sampler, shaper timelines)
+/// on `kind`, with `fault` armed, under the chosen engine.
+fn observed_system(kind: MemoryKind, fault: Option<SimFaultKind>, naive: bool) -> System {
+    let mut sys = SystemBuilder::new(SystemConfig::two_core())
+        .trace_core(stream(200, 0, 30))
+        .trace_core(stream(1000, 1 << 30, 10))
+        .memory(kind)
+        .build();
+    sys.set_tracer(Tracer::ring(16_384));
+    sys.enable_interval_sampling(5_000);
+    sys.enable_shaper_timelines(5_000);
+    if let Some(f) = fault {
+        sys.inject_fault(f);
+    }
+    sys.set_event_skipping(!naive);
+    sys
+}
+
+/// Runs `kind` (with `fault` armed) to the victim's finish under both
+/// engines and requires byte-identical traces and reports.
+fn assert_engines_agree(kind: MemoryKind, fault: Option<SimFaultKind>) {
+    let label = kind.label();
+    let run = |naive: bool| {
+        let mut sys = observed_system(kind.clone(), fault, naive);
+        sys.run_until_core_finished(0, 200_000_000)
+            .expect("run finishes");
+        (sys.tracer().snapshot(), sys.report("determinism"))
+    };
+    let (events_fast, mut report_fast) = run(false);
+    let (events_naive, mut report_naive) = run(true);
+
+    assert!(
+        !events_fast.is_empty(),
+        "{label}: the run must record events"
+    );
+    assert_eq!(events_fast.len(), events_naive.len(), "{label}");
+    assert_eq!(
+        chrome_trace_json(&events_fast),
+        chrome_trace_json(&events_naive),
+        "{label}: Chrome traces must be byte-identical across engines"
+    );
+    // The engine-telemetry section describes HOW simulated time was covered
+    // (tick vs warp counts), so it legitimately differs between engines.
+    // The fast engine must actually have warped, the naive one never.
+    assert!(
+        report_fast.engine.warps > 0,
+        "{label}: fast engine should skip quiescent cycles on this workload"
+    );
+    assert!(report_fast.engine.skip_efficiency > 0.0, "{label}");
+    assert_eq!(report_naive.engine.warps, 0, "{label}");
+    assert_eq!(report_naive.engine.skip_efficiency, 0.0, "{label}");
+    // Everything else — the simulation outcome — must be byte-identical.
+    report_fast.engine = Default::default();
+    report_naive.engine = Default::default();
+    assert_eq!(
+        report_fast.to_json(),
+        report_naive.to_json(),
+        "{label}: RunReports must be byte-identical across engines (engine section normalized)"
+    );
+}
+
 #[test]
 fn event_skipping_matches_naive_engine_byte_for_byte() {
-    // The event-driven engine (quiescent-cycle skipping) must be a pure
-    // optimization: the same seeded colocation run under the naive
+    // The event-driven engine (cached per-component wake times) must be a
+    // pure optimization: the same seeded colocation run under the naive
     // cycle-by-cycle loop and under the fast path must produce
-    // byte-identical serialized reports, event streams, and Chrome traces.
+    // byte-identical serialized reports, event streams, and Chrome traces,
+    // on every defense of the sweep, so a stale wake in any defense's
+    // `next_event_at` fails here.
+    // The experiment entry point selects its engine through `ObsConfig`.
     let (events_fast, mut report_fast) = observed_run_with_engine(false);
     let (events_naive, mut report_naive) = observed_run_with_engine(true);
-
     assert!(!events_fast.is_empty(), "the run must record events");
     assert_eq!(events_fast.len(), events_naive.len());
     assert_eq!(
         chrome_trace_json(&events_fast),
         chrome_trace_json(&events_naive),
-        "Chrome traces must be byte-identical across engines"
+        "run_colocation_observed: Chrome traces differ across engines"
     );
-    // The engine-telemetry section describes HOW simulated time was covered
-    // (tick vs warp counts), so it legitimately differs between engines.
-    // The fast engine must actually have warped, the naive one never.
+    // `ObsConfig::naive_engine` must reach the engine: the fast run warped,
+    // the naive one never did.
     assert!(
         report_fast.engine.warps > 0,
         "fast engine should skip quiescent cycles on this workload"
@@ -146,14 +229,57 @@ fn event_skipping_matches_naive_engine_byte_for_byte() {
     assert!(report_fast.engine.skip_efficiency > 0.0);
     assert_eq!(report_naive.engine.warps, 0);
     assert_eq!(report_naive.engine.skip_efficiency, 0.0);
-    // Everything else — the simulation outcome — must be byte-identical.
     report_fast.engine = Default::default();
     report_naive.engine = Default::default();
     assert_eq!(
         report_fast.to_json(),
         report_naive.to_json(),
-        "RunReports must be byte-identical across engines (engine section normalized)"
+        "run_colocation_observed: RunReports differ across engines"
     );
+    for kind in sweep_kinds() {
+        assert_engines_agree(kind, None);
+    }
+    // A stuck bank detains responses: neither its activation nor its
+    // release may be skipped, and the held responses must not go stale.
+    let stuck = SimFaultKind::StuckBank {
+        at: 2_000,
+        hold: 5_000,
+    };
+    assert_engines_agree(MemoryKind::Insecure, Some(stuck));
+}
+
+#[test]
+fn run_for_windows_match_naive_engine() {
+    // `run_for` ends at arbitrary cycles, usually between memory events:
+    // the event engine must still charge every bus edge up to each window
+    // end, as the naive loop does, so stall attribution and statistics
+    // agree after every window.
+    for kind in sweep_kinds() {
+        let label = kind.label();
+        let mut fast = observed_system(kind.clone(), None, false);
+        let mut naive = observed_system(kind, None, true);
+        for window in [7_777, 1, 50_003, 2, 123_457, 300_001] {
+            fast.run_for(window);
+            naive.run_for(window);
+            assert_eq!(fast.now(), naive.now(), "{label}");
+            assert_eq!(
+                fast.memory().interference(),
+                naive.memory().interference(),
+                "{label}: interference after the window ending at {}",
+                fast.now()
+            );
+            assert_eq!(
+                format!("{:?}", fast.memory().stats()),
+                format!("{:?}", naive.memory().stats()),
+                "{label}: memory statistics after the window ending at {}",
+                fast.now()
+            );
+        }
+        assert!(
+            fast.engine_counters().warps > 0,
+            "{label}: the fast engine should have warped"
+        );
+    }
 }
 
 #[test]
